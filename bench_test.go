@@ -52,14 +52,18 @@ func BenchmarkE11_RandomizedRendezvous(b *testing.B)    { benchExperiment(b, "E1
 func BenchmarkA1_TZBlockLayoutAblation(b *testing.B)    { benchExperiment(b, "A1") }
 func BenchmarkA2_SequenceStrategyAblation(b *testing.B) { benchExperiment(b, "A2") }
 
-// BenchmarkEngineRoundThroughput measures raw simulator speed: rounds per
-// second with four waiting agents.
+// BenchmarkEngineRoundThroughput measures the per-round engine cost when
+// nothing can be fast-forwarded: four agents each take a port every round,
+// so every round is stepped and every agent is handed off to once per round.
+// One op is one simulated round; ns/handoff isolates the agent↔engine
+// switch (one resume of a program plus its next instruction).
 func BenchmarkEngineRoundThroughput(b *testing.B) {
 	g := nochatter.Ring(8)
-	b.ReportAllocs()
-	b.ResetTimer()
+	rounds := b.N
 	prog := func(a *nochatter.API) nochatter.Report {
-		a.WaitRounds(b.N)
+		for i := 0; i < rounds; i++ {
+			a.TakePort(0)
+		}
 		return nochatter.Report{}
 	}
 	team := []nochatter.AgentSpec{
@@ -68,9 +72,21 @@ func BenchmarkEngineRoundThroughput(b *testing.B) {
 		{Label: 3, Start: 4, WakeRound: 0, Program: prog},
 		{Label: 4, Start: 6, WakeRound: 0, Program: prog},
 	}
-	if _, err := nochatter.Run(nochatter.Scenario{Graph: g, Agents: team, MaxRounds: b.N + 8}); err != nil {
+	b.ReportAllocs()
+	b.ResetTimer()
+	res, err := nochatter.Run(nochatter.Scenario{Graph: g, Agents: team, MaxRounds: rounds + 8})
+	if err != nil {
 		b.Fatal(err)
 	}
+	b.StopTimer()
+	if res.SteppedRounds != rounds+1 {
+		b.Fatalf("stepped %d rounds, want %d: the workload was fast-forwarded", res.SteppedRounds, rounds+1)
+	}
+	// Each agent is resumed once per move and once more to halt.
+	handoffs := len(team) * (rounds + 1)
+	ns := float64(b.Elapsed().Nanoseconds())
+	b.ReportMetric(ns/float64(res.SteppedRounds), "ns/stepped-round")
+	b.ReportMetric(ns/float64(handoffs), "ns/handoff")
 }
 
 // BenchmarkSequenceBuild measures universal-sequence construction, the

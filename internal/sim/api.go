@@ -63,19 +63,20 @@ type Report struct {
 	Gossip map[string]int `json:"gossip,omitempty"` // message -> multiplicity, for gossip algorithms
 }
 
-// Program is a complete agent algorithm. It runs in its own goroutine and
-// perceives the world only through the API. Returning from the program is the
-// model's "declare": the agent halts at its current node.
+// Program is a complete agent algorithm. The engine runs it as a coroutine,
+// resumed only while the agent acts, and the program perceives the world only
+// through the API. Returning from the program is the model's "declare": the
+// agent halts at its current node.
 type Program func(a *API) Report
 
-// API is the world interface of a single agent. It is owned by the agent's
-// goroutine; methods must not be called from elsewhere.
+// API is the world interface of a single agent. It belongs to the agent's
+// program: its methods must be called only from the program itself (and the
+// blocks and predicates it runs), never from another goroutine or after the
+// program has returned.
 type API struct {
 	label int
 	obs   observation
-	obsCh chan observation
-	mvCh  chan instruction
-	quit  chan struct{}
+	yield func(instruction) bool // hands an instruction to the engine; see submit
 
 	oracleSize int // see OracleGraphSize
 
@@ -111,8 +112,8 @@ func (a *API) Wait() {
 // WaitRounds waits for x consecutive rounds (the paper's "wait x rounds").
 //
 // The whole wait is submitted to the engine as ONE instruction: unless a
-// closure predicate (RunInterruptible) is active, the agent goroutine is not
-// scheduled again until the wait expires or an enclosing declarative
+// closure predicate (RunInterruptible) is active, the agent's program is not
+// resumed again until the wait expires or an enclosing declarative
 // condition (RunUntil) fires — at which point the usual interrupt unwinding
 // happens exactly as it would under per-round stepping.
 func (a *API) WaitRounds(x int) {
@@ -131,8 +132,8 @@ func (a *API) WaitRounds(x int) {
 // WaitUntil waits until cond holds, evaluating it against the observation of
 // each new round reached (and against the current observation on entry, where
 // a true condition makes the call free). It returns the number of rounds
-// waited. The wait is engine-evaluated: the agent goroutine sleeps in a
-// single bulk instruction until the engine observes the condition.
+// waited. The wait is engine-evaluated: the agent's program stays suspended
+// in a single bulk instruction until the engine observes the condition.
 //
 // A condition that can never fire stalls the agent; the run then terminates
 // with ErrMaxRounds like any non-halting program.
@@ -186,7 +187,6 @@ func (a *API) bulkWait(x int, extra []armedCond) int {
 	}
 	before := a.obs.localRound
 	a.submit(instruction{port: -1, rounds: x, conds: conds})
-	a.receive()
 	a.checkInterrupts()
 	return a.obs.localRound - before
 }
@@ -264,7 +264,6 @@ func (a *API) bulkWalk(spec *walkSpec) (entries []int, minCard int) {
 		conds = append(conds, f.armed)
 	}
 	a.submit(instruction{port: -1, walk: spec, conds: conds})
-	a.receive()
 	entries, minCard = a.obs.walkEntries, a.obs.walkMin
 	a.checkInterrupts()
 	return entries, minCard
@@ -280,7 +279,7 @@ func (a *API) bulkWalk(spec *walkSpec) (entries []int, minCard int) {
 func (a *API) OracleGraphSize() int { return a.oracleSize }
 
 // hasClosurePredicate reports whether any active interrupt frame carries an
-// opaque Go predicate, which only the agent goroutine can evaluate and which
+// opaque Go predicate, which only the agent's program can evaluate and which
 // therefore forces per-round stepping.
 func (a *API) hasClosurePredicate() bool {
 	for _, f := range a.frames {
@@ -291,37 +290,25 @@ func (a *API) hasClosurePredicate() bool {
 	return false
 }
 
-// step submits a one-round instruction and blocks until the engine delivers
-// the next round's observation. It then re-checks all active interruption
-// predicates (innermost first).
+// step submits a one-round instruction and returns once the engine has
+// delivered the next round's observation. It then re-checks all active
+// interruption predicates (innermost first).
 func (a *API) step(in instruction) {
 	a.submit(in)
-	a.receive()
 	a.checkInterrupts()
 }
 
+// submit suspends the program until the engine has written the observation
+// of the round the instruction ends in to a.obs.
 func (a *API) submit(in instruction) {
-	select {
-	case a.mvCh <- in:
-	case <-a.quit:
+	if !a.yield(in) {
 		panic(errRunAborted)
 	}
 }
 
-func (a *API) receive() {
-	select {
-	case obs, ok := <-a.obsCh:
-		if !ok {
-			panic(errRunAborted)
-		}
-		a.obs = obs
-	case <-a.quit:
-		panic(errRunAborted)
-	}
-}
-
-// errRunAborted unwinds an agent goroutine when the engine stops early
-// (max-rounds exceeded or another agent failed). Recovered by the runner.
+// errRunAborted unwinds a suspended agent program when the engine stops
+// early (max-rounds exceeded, another agent failed, or Run itself unwinding).
+// Recovered inside the coroutine by launch.
 var errRunAborted = fmt.Errorf("sim: run aborted")
 
 // maxInt is the identity of min over CurCard observations.

@@ -1,11 +1,11 @@
 package sim
 
 // Condition is a declarative wake/interrupt predicate the engine can evaluate
-// on its own, without round-tripping through the agent goroutine. Conditions
-// are what make bulk waits interruptible at zero per-round cost, and — because
-// the engine can also reason about when a Condition could possibly fire — what
-// allows the event-driven core to fast-forward the global clock over long
-// all-idle stretches (see engine.go).
+// on its own, without resuming the agent's program. Conditions are what make
+// bulk waits interruptible at zero per-round cost, and — because the engine
+// can also reason about when a Condition could possibly fire — what allows
+// the event-driven core to fast-forward the global clock over long all-idle
+// stretches (see engine.go).
 //
 // A Condition is evaluated against the observation of each new round reached
 // while a wait is in progress, exactly like a RunInterruptible predicate. The

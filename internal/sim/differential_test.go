@@ -141,8 +141,10 @@ func TestDifferentialUnknownBound(t *testing.T) {
 	for _, h := range []int{1, 3, 4} {
 		h := h
 		t.Run(fmt.Sprintf("phi%d", h), func(t *testing.T) {
-			t.Parallel()
+			// A Schedule caches without locking (one per agent), so resolve
+			// the configuration before the subtests run in parallel.
 			cfg := sched.Config(h)
+			t.Parallel()
 			res := runBoth(t, fmt.Sprintf("phi%d", h),
 				sim.Scenario{Graph: cfg.G, Agents: unknown.ScenarioFor(cfg, p)})
 			if !res.AllHaltedTogether() {

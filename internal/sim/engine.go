@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"sort"
 	"sync/atomic"
 
@@ -134,7 +135,7 @@ func SimulatedRounds() (logical, stepped int64) {
 // agentState is the engine-side state of one agent.
 type agentState struct {
 	spec      AgentSpec
-	api       *API
+	api       API
 	node      int
 	entryPort int
 	awake     bool
@@ -142,16 +143,21 @@ type agentState struct {
 	halted    bool
 	haltRound int
 	report    Report
-	started   bool // goroutine launched
-	finished  bool // goroutine exited and its done message was consumed
-	doneCh    chan agentDone
+	err       error // why the program ended without halting, if it did
 
-	// Pending bulk instruction: while sleeping, the agent goroutine is
-	// blocked and the engine advances it without any channel traffic.
+	// The agent's program as a coroutine, nil until launched: next resumes
+	// it with api.obs and returns its next instruction, or false once the
+	// program has returned (halt) or failed (err set); stop unwinds a
+	// suspended program.
+	next func() (instruction, bool)
+	stop func()
+
+	// Pending bulk instruction: while sleeping, the agent's coroutine is
+	// suspended and the engine advances it without resuming it.
 	sleeping bool
 	resumeAt int         // global round to deliver the next observation; -1 = only a condition wakes it
 	conds    []armedCond // armed wake conditions, engine-evaluated
-	walk     *walkState  // in-progress bulk walk, one engine-computed move per round
+	walk     walkState   // in-progress bulk walk (walk.spec != nil), one engine-computed move per round
 }
 
 // walkState is the engine-side progress of one bulk walk instruction.
@@ -211,6 +217,12 @@ func (st *agentState) wakesNow(r int, obs observation) bool {
 // The engine falls back to per-round stepping whenever Scenario.OnRound is
 // set (the hook must see every round) or an agent keeps itself live through a
 // closure predicate (RunInterruptible) or per-round calls.
+//
+// Agent programs run as coroutines on the calling goroutine's behalf, so Run
+// starts no goroutine that outlives it. A program that panics fails the run
+// with an error. A program that calls runtime.Goexit (t.FailNow inside a
+// test program, say) exits the goroutine that called Run: Run does not
+// return, but its cleanup still unwinds every other agent's program first.
 func Run(sc Scenario) (*RunResult, error) {
 	if err := Validate(sc); err != nil {
 		return nil, err
@@ -221,40 +233,33 @@ func Run(sc Scenario) (*RunResult, error) {
 	}
 	n := len(sc.Agents)
 	states := make([]*agentState, n)
-	quit := make(chan struct{})
 	defer func() {
-		close(quit)
-		// Unblock and drain every started goroutine so none leaks. Agents
-		// whose done message was already consumed (halted, panicked or
-		// failed) have no goroutine left to drain — waiting on them would
-		// deadlock.
+		// Unwind every coroutine still suspended mid-program so none leaks;
+		// stop is a no-op for programs that already returned or failed.
 		for _, st := range states {
-			if st.started && !st.finished {
-				drain(st)
+			if st.stop != nil {
+				st.stop()
 			}
 		}
 	}()
 
+	backing := make([]agentState, n)
 	for i, spec := range sc.Agents {
-		states[i] = &agentState{
+		backing[i] = agentState{
 			spec:      spec,
 			node:      spec.Start,
 			entryPort: -1,
 			wokeAt:    -1,
 			haltRound: -1,
-			api: &API{
-				label:      spec.Label,
-				obsCh:      make(chan observation, 1),
-				mvCh:       make(chan instruction, 1),
-				quit:       quit,
-				oracleSize: sc.Graph.N(),
-			},
+			api:       API{label: spec.Label, oracleSize: sc.Graph.N()},
 		}
+		states[i] = &backing[i]
 	}
 
-	positions := make([]int, n)
-	awake := make([]bool, n)
-	halted := make([]bool, n)
+	var view RoundView // backing slices allocated only for an OnRound hook
+	if sc.OnRound != nil {
+		view = RoundView{Positions: make([]int, n), Awake: make([]bool, n), Halted: make([]bool, n)}
+	}
 	// Node-indexed bookkeeping. Entries are reset agent-wise before use, so
 	// only slots under a current agent position are ever valid — stale values
 	// elsewhere are never read.
@@ -303,16 +308,17 @@ func Run(sc Scenario) (*RunResult, error) {
 			cardAt[st.node]++
 		}
 		if sc.OnRound != nil {
+			view.Round = r
 			for i, st := range states {
-				positions[i] = st.node
-				awake[i] = st.awake
-				halted[i] = st.halted
+				view.Positions[i] = st.node
+				view.Awake[i] = st.awake
+				view.Halted[i] = st.halted
 			}
-			sc.OnRound(RoundView{Round: r, Positions: positions, Awake: awake, Halted: halted})
+			sc.OnRound(view)
 		}
 		// Deliver observations and collect instructions, in fixed agent
 		// order. Sleeping agents whose wait neither expires nor fires are
-		// passed over without any goroutine handoff.
+		// passed over without resuming their coroutine.
 		moves = moves[:0]
 		allHalted := true
 		for _, st := range states {
@@ -330,7 +336,7 @@ func Run(sc Scenario) (*RunResult, error) {
 				curCard:    cardAt[st.node],
 			}
 			if st.sleeping {
-				if w := st.walk; w != nil {
+				if w := &st.walk; w.spec != nil {
 					// Every round of a walk is post-move: fold the fresh
 					// CurCard into the walk minimum before wake checks.
 					if obs.curCard < w.minCard {
@@ -351,7 +357,7 @@ func Run(sc Scenario) (*RunResult, error) {
 					// agent with the (possibly partial) results attached.
 					obs.walkEntries = w.entries
 					obs.walkMin = w.minCard
-					st.walk = nil
+					st.walk = walkState{}
 				} else if !st.wakesNow(r, obs) {
 					allHalted = false
 					continue
@@ -359,21 +365,18 @@ func Run(sc Scenario) (*RunResult, error) {
 				st.sleeping = false
 				st.conds = nil
 			}
-			if !st.started {
-				st.started = true
-				launch(st, obs)
-			} else {
-				st.api.obsCh <- obs
+			if st.next == nil {
+				launch(st)
 			}
-			in, halt, rep, err := await(st)
-			if err != nil {
-				return nil, fmt.Errorf("sim: agent %d (label %d) failed in round %d: %w",
-					indexOf(states, st), st.spec.Label, r, err)
-			}
-			if halt {
+			st.api.obs = obs
+			in, ok := st.next()
+			if !ok {
+				if st.err != nil {
+					return nil, fmt.Errorf("sim: agent %d (label %d) failed in round %d: %w",
+						indexOf(states, st), st.spec.Label, r, st.err)
+				}
 				st.halted = true
 				st.haltRound = r
-				st.report = rep
 				lastHalt = r
 				continue
 			}
@@ -388,7 +391,8 @@ func Run(sc Scenario) (*RunResult, error) {
 				st.resumeAt = r + 1
 				st.conds = nil
 			} else if in.walk != nil {
-				w := &walkState{spec: in.walk, minCard: maxInt}
+				st.walk = walkState{spec: in.walk, minCard: maxInt}
+				w := &st.walk
 				w.entries = make([]int, 0, w.steps())
 				port, err := w.nextPort(sc.Graph, st.node)
 				if err != nil {
@@ -399,7 +403,6 @@ func Run(sc Scenario) (*RunResult, error) {
 				st.sleeping = true
 				st.resumeAt = -1 // woken by walk completion or a condition
 				st.conds = in.conds
-				st.walk = w
 			} else {
 				rounds := in.rounds
 				if rounds == 0 {
@@ -420,7 +423,7 @@ func Run(sc Scenario) (*RunResult, error) {
 			to, entry := sc.Graph.Traverse(mv.st.node, mv.port)
 			mv.st.node = to
 			mv.st.entryPort = entry
-			if w := mv.st.walk; w != nil {
+			if w := &mv.st.walk; w.spec != nil {
 				w.entries = append(w.entries, entry)
 				w.entry = entry
 			}
@@ -482,7 +485,7 @@ func nextEventRound(states []*agentState, r int, cardAt []int, maxRounds int) in
 		}
 		// Every awake non-halted agent is sleeping at this point: each
 		// interaction ends with a halt or a new pending instruction.
-		if st.walk != nil {
+		if st.walk.spec != nil {
 			// Unreachable in practice: a mid-walk agent moved this round, and
 			// any move forces stepping to r+1 before this function is called.
 			consider(r + 1)
@@ -508,60 +511,24 @@ func nextEventRound(states []*agentState, r int, cardAt []int, maxRounds int) in
 	return next
 }
 
-// agentDone is the message an agent goroutine posts when its program ends.
-type agentDone struct {
-	report Report
-	err    error
-}
-
-func launch(st *agentState, first observation) {
-	st.api.obs = first
-	doneCh := make(chan agentDone, 1)
-	st.doneCh = doneCh
-	go func() {
+// launch turns the agent's program into a coroutine (see agentState.next).
+// Each API call that needs the engine yields one instruction and resumes with
+// the next observation in api.obs. A panic ends the program with st.err set;
+// errRunAborted is the unwinding stop forces on a suspended program.
+func launch(st *agentState) {
+	st.next, st.stop = iter.Pull(func(yield func(instruction) bool) {
 		defer func() {
 			if r := recover(); r != nil {
 				if err, ok := r.(error); ok && errors.Is(err, errRunAborted) {
-					doneCh <- agentDone{err: errRunAborted}
+					st.err = errRunAborted
 					return
 				}
-				doneCh <- agentDone{err: fmt.Errorf("agent program panicked: %v", r)}
+				st.err = fmt.Errorf("agent program panicked: %v", r)
 			}
 		}()
-		rep := st.spec.Program(st.api)
-		doneCh <- agentDone{report: rep}
-	}()
-}
-
-// await blocks until the agent either issues an instruction or halts.
-func await(st *agentState) (in instruction, halt bool, rep Report, err error) {
-	select {
-	case in = <-st.api.mvCh:
-		return in, false, Report{}, nil
-	case d := <-st.doneCh:
-		st.finished = true
-		if d.err != nil {
-			return instruction{}, false, Report{}, d.err
-		}
-		return instruction{}, true, d.report, nil
-	}
-}
-
-// drain unblocks a still-running goroutine after quit is closed.
-func drain(st *agentState) {
-	if st.doneCh == nil {
-		return
-	}
-	for {
-		select {
-		case <-st.api.mvCh:
-			// The goroutine may be blocked sending an instruction; consume
-			// it. After quit closes, its next step panics with errRunAborted.
-		case d := <-st.doneCh:
-			_ = d
-			return
-		}
-	}
+		st.api.yield = yield
+		st.report = st.spec.Program(&st.api)
+	})
 }
 
 func indexOf(states []*agentState, target *agentState) int {

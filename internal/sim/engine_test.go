@@ -355,7 +355,8 @@ func TestDelayedWake(t *testing.T) {
 
 func TestAgentPanicFailsRunWithoutHanging(t *testing.T) {
 	// A panicking agent program must surface as a run error promptly; the
-	// cleanup path must not try to drain the already-exited goroutine.
+	// cleanup path must unwind the other agent's suspended coroutine and
+	// leave the already-finished one alone.
 	g := graph.Ring(4)
 	sc := Scenario{
 		Graph: g,
@@ -381,6 +382,6 @@ func TestAgentPanicFailsRunWithoutHanging(t *testing.T) {
 			t.Fatal("want error from panicking agent")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Run hung after agent panic (drain deadlock)")
+		t.Fatal("Run hung after agent panic (cleanup did not return)")
 	}
 }
