@@ -29,6 +29,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -239,41 +240,23 @@ func serviceBench() (*serviceRecord, error) {
 	const clients = 8
 	const hotPasses = 20
 	post := func(reqs [][]byte) error {
-		idx := make(chan int)
-		errCh := make(chan error, clients)
-		for w := 0; w < clients; w++ {
-			go func() {
-				var werr error
-				// Keep draining idx after a failure: an early return would
-				// strand the feeder on the unbuffered channel.
-				for i := range idx {
-					if werr != nil {
-						continue
-					}
-					resp, err := http.Post(srv.URL+"/v1/run", "application/json", bytes.NewReader(reqs[i]))
-					if err != nil {
-						werr = err
-						continue
-					}
-					_, _ = io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-					if resp.StatusCode != http.StatusOK {
-						werr = fmt.Errorf("service run: HTTP %d", resp.StatusCode)
-					}
-				}
-				errCh <- werr
-			}()
-		}
-		for i := range reqs {
-			idx <- i
-		}
-		close(idx)
-		for w := 0; w < clients; w++ {
-			if err := <-errCh; err != nil {
-				return err
+		errs := make([]error, clients)
+		sim.ForEach(len(reqs), clients, func(w, i int) {
+			if errs[w] != nil {
+				return
 			}
-		}
-		return nil
+			resp, err := http.Post(srv.URL+"/v1/run", "application/json", bytes.NewReader(reqs[i]))
+			if err != nil {
+				errs[w] = err
+				return
+			}
+			_, _ = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				errs[w] = fmt.Errorf("service run: HTTP %d", resp.StatusCode)
+			}
+		})
+		return errors.Join(errs...)
 	}
 
 	rec := &serviceRecord{DistinctSpecs: len(specs)}

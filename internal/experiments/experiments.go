@@ -6,7 +6,7 @@
 //
 // Every experiment returns a trace.Table; cmd/benchharness renders them all,
 // and bench_test.go wraps each in a testing.B benchmark. Independent
-// scenarios of one experiment execute on the sim worker pool (streamed in
+// scenarios of one experiment execute on the sim worker pool (results in
 // input order); results are deterministic regardless of parallelism, and
 // row order always matches the case order.
 //
@@ -58,8 +58,8 @@ func gatherOutcome(g *graph.Graph, br sim.BatchResult) (int, int, error) {
 	return res.Rounds, leaders[0], nil
 }
 
-// runSpecs compiles every spec, streams the batch over the worker pool in
-// input order, verifies Theorem 3.1's postconditions, and returns the
+// runSpecs compiles every spec, runs the batch on the worker pool,
+// verifies Theorem 3.1's postconditions in input order, and returns the
 // compiled scenarios plus (rounds, leader, sequence) per spec.
 func runSpecs(specs []spec.ScenarioSpec) ([]sim.Scenario, []int, []int, []*ues.Sequence, error) {
 	scs, ars, err := spec.CompileAllArtifacts(specs)
@@ -72,18 +72,10 @@ func runSpecs(specs []spec.ScenarioSpec) ([]sim.Scenario, []int, []int, []*ues.S
 	}
 	rounds := make([]int, len(specs))
 	leaders := make([]int, len(specs))
-	var firstErr error
-	sim.RunStream(scs, func(br sim.BatchResult) bool {
-		r, l, err := gatherOutcome(scs[br.Index].Graph, br)
-		if err != nil {
-			firstErr = err
-			return false
+	for i, br := range sim.RunBatch(scs) {
+		if rounds[i], leaders[i], err = gatherOutcome(scs[i].Graph, br); err != nil {
+			return nil, nil, nil, nil, err
 		}
-		rounds[br.Index], leaders[br.Index] = r, l
-		return true
-	})
-	if firstErr != nil {
-		return nil, nil, nil, nil, firstErr
 	}
 	return scs, rounds, leaders, seqs, nil
 }

@@ -172,22 +172,26 @@ func TestPlanBalance(t *testing.T) {
 	}
 }
 
+// TestStaticBounds pins the static sharding function: a contiguous,
+// exhaustive, non-overlapping partition for any (n, shards), shard sizes
+// differing by at most one, some shards empty when n < shards.
 func TestStaticBounds(t *testing.T) {
 	for n := 0; n <= 25; n++ {
 		for shards := 1; shards <= 6; shards++ {
-			next := 0
+			next, minSz, maxSz := 0, n, 0
 			for i := 0; i < shards; i++ {
 				lo, hi := StaticBounds(n, shards, i)
 				if lo != next || hi < lo {
 					t.Fatalf("n=%d shards=%d i=%d: bounds [%d,%d), want lo=%d", n, shards, i, lo, hi, next)
 				}
-				if hi-lo > n/shards+1 {
-					t.Fatalf("n=%d shards=%d i=%d: shard size %d unbalanced", n, shards, i, hi-lo)
-				}
+				minSz, maxSz = min(minSz, hi-lo), max(maxSz, hi-lo)
 				next = hi
 			}
 			if next != n {
 				t.Fatalf("n=%d shards=%d: shards cover [0,%d)", n, shards, next)
+			}
+			if maxSz-minSz > 1 {
+				t.Fatalf("n=%d shards=%d: shard sizes range %d..%d, want spread <= 1", n, shards, minSz, maxSz)
 			}
 		}
 	}

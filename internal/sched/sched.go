@@ -50,10 +50,10 @@ func (c Chunk) Specs() int { return c.Hi - c.Lo }
 
 // StaticBounds returns the half-open spec range [lo, hi) of shard i when n
 // specs are partitioned contiguously over the given shard count: the
-// degenerate one-chunk-per-worker plan internal/cluster shipped first
-// (cluster.ShardBounds delegates here). It is a pure function; shards
-// differ in size by at most one spec, and when n < shards the trailing
-// shards are empty.
+// degenerate one-chunk-per-worker plan internal/cluster shipped first. It
+// is a pure function — spec j always lands in the shard i satisfying
+// i·n/shards <= j < (i+1)·n/shards; shards differ in size by at most one
+// spec, and when n < shards some shards are empty.
 func StaticBounds(n, shards, i int) (lo, hi int) {
 	return i * n / shards, (i + 1) * n / shards
 }

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -114,9 +115,13 @@ func TestQueueDepthExcludesCanceled(t *testing.T) {
 func TestCancelRunningSummaryOnlyJob(t *testing.T) {
 	before := runtime.NumGoroutine()
 
-	svc := New(Config{Workers: 1})
+	// One spec at a time, so the cancel lands while exactly one spec runs
+	// and every later spec is still unstarted.
+	svc := New(Config{Workers: 1, Parallelism: 1})
 	release := make(chan struct{})
+	var calls atomic.Int64
 	svc.execute = func(sp spec.ScenarioSpec) (*sim.RunResult, error) {
+		calls.Add(1)
 		<-release
 		return nil, fmt.Errorf("released")
 	}
@@ -132,10 +137,7 @@ func TestCancelRunningSummaryOnlyJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	waitFor(t, "job running", func() bool {
-		st, _ := svc.Job(acc.JobID)
-		return st.State == JobRunning
-	})
+	waitFor(t, "first spec running", func() bool { return calls.Load() == 1 })
 
 	// A summary long-poller arrives while the job is mid-run and blocks.
 	summaryCode := make(chan int, 1)
@@ -170,6 +172,11 @@ func TestCancelRunningSummaryOnlyJob(t *testing.T) {
 		st, _ := svc.Job(acc.JobID)
 		return st.State == JobFailed && st.Error == "canceled"
 	})
+	// Running jobs stop starting new specs: only the spec in flight at the
+	// cancel ever executed.
+	if n := calls.Load(); n != 1 {
+		t.Errorf("canceled job executed %d specs, want 1 (no spec may start after cancel)", n)
+	}
 
 	srv.Close()
 	svc.Close()

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"nochatter/internal/agg"
@@ -634,60 +633,45 @@ func (s *Service) runJob(jb *job) {
 	s.journalTerminal(jb, st)
 }
 
-// runJobLocal executes a job's specs on a bounded worker pool, each spec
-// served through the cache (so overlapping sweeps and repeat submissions
-// reuse results), and terminalizes the job. Results land in input order
-// behind the job's delivery watermark. As results arrive each worker folds
-// them into its own agg.Summary; the per-worker summaries merge into the
+// runJobLocal executes a job's specs on the bounded sim.ForEach pool, each
+// spec served through the cache (so overlapping sweeps and repeat
+// submissions reuse results), and terminalizes the job. Results land in
+// input order behind the job's delivery watermark. Each worker folds its
+// results into its own agg.Summary; the per-worker summaries merge into the
 // job's summary when the job completes — so every finished job has a
-// streaming aggregate, and a summary-only job stores nothing else.
+// streaming aggregate, and a summary-only job stores nothing else. The
+// cancel mark is checked before every spec, so once a running job is
+// canceled no further spec starts.
 func (s *Service) runJobLocal(jb *job) {
-	p := s.cfg.Parallelism
-	if p > len(jb.specs) {
-		p = len(jb.specs)
+	p := sim.Workers(len(jb.specs), s.cfg.Parallelism)
+	folds := make([]*agg.Summary, max(p, 1))
+	for w := range folds {
+		folds[w] = agg.NewSummary()
 	}
-	idx := make(chan int)
-	folders := make([]*agg.Summary, p)
-	var wg sync.WaitGroup
-	for w := 0; w < p; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			fold := agg.NewSummary()
-			folders[w] = fold
-			for i := range idx {
-				sp := jb.specs[i]
-				start := time.Now()
-				key, res, cached, err := s.RunSpec(sp)
-				wall := time.Since(start)
-				s.specRunUS.Observe(wall.Microseconds())
-				fold.Observe(agg.KeyOf(sp), res, err, wall)
-				r := JobResult{Index: i, Name: sp.Name, Key: key, Cached: cached, Result: res}
-				if err != nil {
-					r.Error = err.Error()
-				}
-				// For summary-only jobs setResult stores nothing — the fold
-				// above is the only retained outcome.
-				jb.setResult(i, r)
-			}
-		}(w)
-	}
-	canceled := false
-	for i := range jb.specs {
+	sim.ForEach(len(jb.specs), p, func(w, i int) {
 		if jb.isCanceled() {
-			canceled = true
-			break
+			return
 		}
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	if canceled || jb.isCanceled() {
+		sp := jb.specs[i]
+		start := time.Now()
+		key, res, cached, err := s.RunSpec(sp)
+		wall := time.Since(start)
+		s.specRunUS.Observe(wall.Microseconds())
+		folds[w].Observe(agg.KeyOf(sp), res, err, wall)
+		r := JobResult{Index: i, Name: sp.Name, Key: key, Cached: cached, Result: res}
+		if err != nil {
+			r.Error = err.Error()
+		}
+		// For summary-only jobs setResult stores nothing — the fold above is
+		// the only retained outcome.
+		jb.setResult(i, r)
+	})
+	if jb.isCanceled() {
 		jb.finish(JobFailed, "canceled")
 		return
 	}
 	total := agg.NewSummary()
-	for _, f := range folders {
+	for _, f := range folds {
 		total.Merge(f)
 	}
 	jb.setSummary(total)

@@ -3,6 +3,7 @@ package sim
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -35,8 +36,8 @@ func WithOnRound(f func(RoundView)) Option {
 	return func(r *Runner) { r.onRound = f }
 }
 
-// WithParallelism sets the number of scenarios RunBatch executes
-// concurrently. Values < 1 select GOMAXPROCS. Parallelism never affects
+// WithParallelism sets the number of scenarios RunBatch and FoldBatch
+// execute concurrently. Values < 1 select GOMAXPROCS. Parallelism never affects
 // results: scenarios are independent and each run is deterministic.
 func WithParallelism(p int) Option {
 	return func(r *Runner) { r.parallelism = p }
@@ -90,156 +91,62 @@ func (r *Runner) runTimed(i int, sc Scenario) BatchResult {
 	return br
 }
 
-// RunBatch executes all scenarios on a worker pool and returns one result
-// per scenario, in input order. Each scenario runs to completion
-// independently; an error in one does not stop the others. Unlike Stream,
-// workers write straight into the result slice with no delivery window, so
-// one slow scenario never idles the rest of the pool.
-func (r *Runner) RunBatch(scs []Scenario) []BatchResult {
-	out := make([]BatchResult, len(scs))
-	p := r.parallelism
+// Workers resolves a parallelism setting for n independent tasks: p < 1
+// selects GOMAXPROCS, and the result never exceeds n.
+func Workers(n, p int) int {
 	if p < 1 {
 		p = runtime.GOMAXPROCS(0)
 	}
-	if p > len(scs) {
-		p = len(scs)
-	}
-	if p <= 1 {
-		for i, sc := range scs {
-			out[i] = r.runTimed(i, sc)
-		}
-		return out
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < p; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				out[i] = r.runTimed(i, scs[i])
-			}
-		}()
-	}
-	for i := range scs {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return out
+	return min(p, n)
 }
 
-// Stream executes all scenarios on a worker pool and delivers each result
-// to yield in input order, without materializing the result slice — the
-// consumer of a million-scenario sweep holds one result at a time. Workers
-// run ahead of the consumer by at most the parallelism degree (completed
-// out-of-order results are buffered until their turn). yield returning
-// false stops the stream: no new scenarios start, and Stream returns after
-// in-flight runs finish.
-func (r *Runner) Stream(scs []Scenario, yield func(BatchResult) bool) {
-	p := r.parallelism
-	if p < 1 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p > len(scs) {
-		p = len(scs)
-	}
-	if p <= 1 {
-		for i, sc := range scs {
-			if !yield(r.runTimed(i, sc)) {
+// ForEach calls do(w, i) exactly once for every index i in [0, n), on at
+// most workers goroutines, and returns once every call has returned. The
+// worker id w lies in [0, max(workers, 1)) and is never used by two calls
+// at once, so callers keep per-worker state in a slice without a lock.
+// Indices are handed out in increasing order as workers free up; with
+// workers <= 1 every call runs inline on the calling goroutine. This is the
+// one bounded index pool of the module: RunBatch, FoldBatch and the
+// service's job executor are thin adapters over it.
+func ForEach(n, workers int, do func(w, i int)) {
+	workers = min(workers, n)
+	var next atomic.Int64
+	work := func(w int) {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
 				return
 			}
+			do(w, i)
 		}
-		return
-	}
-	jobs := make(chan int)
-	results := make(chan BatchResult, p)
-	stop := make(chan struct{})
-	// credits caps the number of scenarios that are running or completed
-	// but not yet delivered: the feeder takes a credit per job, the
-	// consumer returns one per in-order delivery. Without it, one slow
-	// early scenario would let the pool race ahead and buffer the whole
-	// batch in the reorder map.
-	credits := make(chan struct{}, p)
-	for w := 0; w < p; w++ {
-		credits <- struct{}{}
 	}
 	var wg sync.WaitGroup
-	for w := 0; w < p; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				select {
-				case <-stop:
-					continue // drain handed-out jobs without running them
-				default:
-				}
-				results <- r.runTimed(i, scs[i])
-			}
+			work(w)
 		}()
 	}
-	go func() {
-		defer close(jobs)
-		for i := range scs {
-			select {
-			case <-credits:
-			case <-stop:
-				return
-			}
-			select {
-			case <-stop: // checked with priority: both cases of the next
-				return // select can be ready at once
-			default:
-			}
-			select {
-			case jobs <- i:
-			case <-stop:
-				return
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-	// Reorder: deliver strictly by index, buffering results that finish
-	// ahead of their turn (at most p of them, by the credit window).
-	pending := make(map[int]BatchResult, p)
-	next := 0
-	stopped := false
-	for br := range results {
-		if stopped {
-			continue // drain so workers can exit
-		}
-		pending[br.Index] = br
-		for !stopped {
-			b, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			if !yield(b) {
-				stopped = true
-				close(stop)
-				break
-			}
-			credits <- struct{}{}
-		}
-	}
+	work(0)
+	wg.Wait()
+}
+
+// RunBatch executes all scenarios on a worker pool and returns one result
+// per scenario, in input order. Each scenario runs to completion
+// independently; an error in one does not stop the others.
+func (r *Runner) RunBatch(scs []Scenario) []BatchResult {
+	out := make([]BatchResult, len(scs))
+	ForEach(len(scs), Workers(len(scs), r.parallelism), func(_, i int) {
+		out[i] = r.runTimed(i, scs[i])
+	})
+	return out
 }
 
 // RunBatch executes scenarios on a worker pool with the given options; see
 // Runner.RunBatch.
 func RunBatch(scs []Scenario, opts ...Option) []BatchResult {
 	return NewRunner(opts...).RunBatch(scs)
-}
-
-// RunStream executes scenarios on a worker pool with the given options,
-// streaming results in input order; see Runner.Stream.
-func RunStream(scs []Scenario, yield func(BatchResult) bool, opts ...Option) {
-	NewRunner(opts...).Stream(scs, yield)
 }
 
 // FoldBatch executes all scenarios on r's worker pool and folds every result
@@ -256,42 +163,16 @@ func RunStream(scs []Scenario, yield func(BatchResult) bool, opts ...Option) {
 // histogram-bucket adds), which is what makes a summary bit-identical
 // across parallelism degrees.
 func FoldBatch[A any](r *Runner, scs []Scenario, newA func() A, fold func(A, BatchResult), merge func(dst, src A)) A {
-	p := r.parallelism
-	if p < 1 {
-		p = runtime.GOMAXPROCS(0)
+	p := Workers(len(scs), r.parallelism)
+	accs := make([]A, max(p, 1))
+	for w := range accs {
+		accs[w] = newA()
 	}
-	if p > len(scs) {
-		p = len(scs)
-	}
-	if p <= 1 {
-		acc := newA()
-		for i, sc := range scs {
-			fold(acc, r.runTimed(i, sc))
-		}
-		return acc
-	}
-	accs := make([]A, p)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < p; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			acc := newA()
-			for i := range jobs {
-				fold(acc, r.runTimed(i, scs[i]))
-			}
-			accs[w] = acc
-		}(w)
-	}
-	for i := range scs {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	total := accs[0]
+	ForEach(len(scs), p, func(w, i int) {
+		fold(accs[w], r.runTimed(i, scs[i]))
+	})
 	for _, acc := range accs[1:] {
-		merge(total, acc)
+		merge(accs[0], acc)
 	}
-	return total
+	return accs[0]
 }

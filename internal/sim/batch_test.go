@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -111,52 +112,45 @@ func TestRunBatchEmpty(t *testing.T) {
 	}
 }
 
-func TestStreamMatchesRunBatchInOrder(t *testing.T) {
-	scs := batchScenarios(9)
-	want := RunBatch(scs, WithParallelism(1))
-	for _, p := range []int{1, 4} {
-		var got []BatchResult
-		RunStream(scs, func(br BatchResult) bool {
-			got = append(got, br)
-			return true
-		}, WithParallelism(p))
-		if len(got) != len(want) {
-			t.Fatalf("parallelism %d: streamed %d results, want %d", p, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Index != i {
-				t.Fatalf("parallelism %d: result %d arrived with index %d", p, i, got[i].Index)
+// TestPoolContract pins ForEach and Workers, the pool under RunBatch,
+// FoldBatch and the service's job executor: every index is visited exactly
+// once, worker ids stay in range, and Workers resolves and caps parallelism.
+func TestPoolContract(t *testing.T) {
+	for _, n := range []int{0, 1, 5, 64} {
+		for _, workers := range []int{1, 2, 8} {
+			visits := make([]atomic.Int64, n)
+			var badW atomic.Int64
+			ForEach(n, workers, func(w, i int) {
+				if w < 0 || w >= max(workers, 1) {
+					badW.Add(1)
+				}
+				visits[i].Add(1)
+			})
+			if badW.Load() != 0 {
+				t.Errorf("n=%d workers=%d: %d calls with out-of-range worker id", n, workers, badW.Load())
 			}
-			if !reflect.DeepEqual(got[i].Result.Agents, want[i].Result.Agents) {
-				t.Errorf("parallelism %d: case %d diverges from RunBatch", p, i)
+			for i := range visits {
+				if c := visits[i].Load(); c != 1 {
+					t.Errorf("n=%d workers=%d: index %d visited %d times", n, workers, i, c)
+				}
 			}
 		}
 	}
-}
-
-func TestStreamEarlyStop(t *testing.T) {
-	scs := batchScenarios(9)
-	for _, p := range []int{1, 3} {
-		seen := 0
-		RunStream(scs, func(br BatchResult) bool {
-			seen++
-			return seen < 4
-		}, WithParallelism(p))
-		if seen != 4 {
-			t.Errorf("parallelism %d: yield called %d times after stop at 4", p, seen)
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct{ n, p, want int }{
+		{0, 0, 0}, {0, 4, 0}, {0, -1, 0},
+		{3, 8, 3}, {8, 3, 3}, {5, 5, 5},
+		{1 << 20, 0, procs}, {1 << 20, -2, procs}, {2, 0, min(2, procs)},
+	} {
+		if got := Workers(tc.n, tc.p); got != tc.want {
+			t.Errorf("Workers(%d, %d) = %d, want %d", tc.n, tc.p, got, tc.want)
 		}
 	}
-}
-
-func TestStreamErrorIsolation(t *testing.T) {
-	scs := batchScenarios(3)
-	scs[1].Agents = nil
-	var errs []error
-	RunStream(scs, func(br BatchResult) bool {
-		errs = append(errs, br.Err)
-		return true
-	}, WithParallelism(2))
-	if len(errs) != 3 || errs[0] != nil || errs[1] == nil || errs[2] != nil {
-		t.Errorf("stream errors %v, want only the middle scenario failing", errs)
+	fresh := 0
+	got := FoldBatch(NewRunner(), nil, func() *int { fresh++; return new(int) },
+		func(*int, BatchResult) { t.Error("fold called on an empty batch") },
+		func(dst, src *int) { *dst += *src })
+	if got == nil || *got != 0 || fresh != 1 {
+		t.Errorf("empty FoldBatch: got %v after %d newA calls, want a fresh accumulator", got, fresh)
 	}
 }

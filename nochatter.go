@@ -74,11 +74,8 @@
 //	results := nochatter.RunBatch(scenarios, nochatter.WithParallelism(8))
 //
 // Parallelism never changes results: each run is deterministic and results
-// arrive in input order. RunStream (and Runner.Stream) delivers results
-// one at a time in input order without materializing the slice, and
-// NewSweep builds cartesian families × sizes × teams × wake schedules ×
-// algorithms products of ScenarioSpecs declaratively (see
-// examples/batchsweep).
+// arrive in input order. NewSweep builds cartesian families × sizes × teams
+// × wake schedules × algorithms products of ScenarioSpecs declaratively.
 //
 // # Streaming summaries
 //
@@ -325,18 +322,13 @@ type (
 	ClusterWorkerOption = cluster.WorkerOption
 )
 
-// Cluster constructors and the sharding function, re-exported from
+// Cluster constructors and worker options, re-exported from
 // internal/cluster.
 var (
 	// NewClusterCoordinator returns a coordinator over the given workers.
 	NewClusterCoordinator = cluster.NewCoordinator
 	// NewClusterWorker returns a client for the gatherd at a base URL.
 	NewClusterWorker = cluster.NewWorker
-	// ClusterShardBounds is the deterministic static sharding function: the
-	// half-open spec range [lo, hi) of shard i when n specs are partitioned
-	// contiguously over a worker count — the degenerate one-chunk-per-worker
-	// plan (SchedStaticBounds is the same function).
-	ClusterShardBounds = cluster.ShardBounds
 	// WithClusterRetries sets a worker's retry budget and backoff base.
 	WithClusterRetries = cluster.WithRetries
 	// WithClusterHTTPClient sets a worker's HTTP client.
@@ -406,7 +398,7 @@ var (
 	// BuildGraph compiles a GraphSpec through the family registry.
 	BuildGraph = spec.BuildGraph
 	// CompileSpecs compiles a slice of specs (a sweep's output) into
-	// scenarios ready for RunBatch or RunStream.
+	// scenarios ready for RunBatch.
 	CompileSpecs = spec.CompileAll
 	// RegisterGraphFamily adds a graph family to the registry.
 	RegisterGraphFamily = spec.RegisterGraphFamily
@@ -457,9 +449,6 @@ var (
 	// RunBatch executes independent scenarios on a worker pool, results in
 	// input order.
 	RunBatch = sim.RunBatch
-	// RunStream executes independent scenarios on a worker pool, streaming
-	// results in input order without materializing the result slice.
-	RunStream = sim.RunStream
 	// ValidateScenario checks a scenario up front (labels, starts, wake
 	// rounds, programs) and returns a descriptive error; Run and spec
 	// compilation apply the same checks.
