@@ -9,7 +9,7 @@
 //
 //	gatherd [-addr :8080] [-cache 1024] [-jobs 2] [-parallelism 0]
 //	        [-backlog 1024] [-max-sweep-specs 10000]
-//	        [-workers http://a:8080,http://b:8080] [-chunks 8]
+//	        [-workers http://a:8080,http://b:8080]
 //	        [-journal /var/lib/gatherd] [-log-level info]
 //	        [-pprof 127.0.0.1:6060]
 //
@@ -19,12 +19,10 @@
 // backends pull and steal from a shared queue, and the per-chunk summaries
 // merge — in fixed chunk order — into one total that is bit-identical to a
 // single-node run (internal/cluster, internal/sched, DESIGN.md §10, §12).
-// -chunks sets the target chunk count per worker (default 8); -chunks 1
-// restores the original static one-shard-per-worker split. A coordinator's
-// GET /metrics reports chunks dispatched, stolen and retried per worker
-// under "scheduler", and GET /v1/fleet serves per-worker health, load and
-// live sweep progress. Every other endpoint — single runs, raw-row sweeps,
-// job lifecycle — keeps serving locally.
+// A coordinator's GET /metrics reports chunks dispatched, stolen and
+// retried per worker under "scheduler", and GET /v1/fleet serves
+// per-worker health, load and live sweep progress. Every other endpoint —
+// single runs, raw-row sweeps, job lifecycle — keeps serving locally.
 //
 // -journal makes sweeps crash-safe: every accepted job, chunk plan,
 // completed chunk summary and terminal state appends to a checksummed
@@ -89,7 +87,6 @@ import (
 	"nochatter/internal/cluster"
 	"nochatter/internal/journal"
 	olog "nochatter/internal/obs/log"
-	"nochatter/internal/sched"
 	"nochatter/internal/service"
 )
 
@@ -109,7 +106,6 @@ func run() error {
 		backlog       = flag.Int("backlog", 1024, "maximum queued (not yet running) jobs")
 		maxSweepSpecs = flag.Int("max-sweep-specs", 10000, "reject sweeps expanding to more specs than this")
 		workers       = flag.String("workers", "", "comma-separated gatherd worker base URLs; summary-only sweeps are sharded across them")
-		chunks        = flag.Int("chunks", 0, "with -workers: target chunks per worker for the sweep scheduler (0 = default 8; 1 = one static shard per worker)")
 		journalDir    = flag.String("journal", "", "directory for the crash-safe sweep journal; empty disables persistence")
 		logLevel      = flag.String("log-level", "info", "log level: debug|info|warn|error")
 		pprofAddr     = flag.String("pprof", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060); empty disables")
@@ -149,22 +145,12 @@ func run() error {
 			return fmt.Errorf("-workers: no worker URLs given")
 		}
 		coord = cluster.NewCoordinator(ws...)
-		switch {
-		case *chunks < 0:
-			return fmt.Errorf("-chunks: %d is not a chunk count", *chunks)
-		case *chunks == 1:
-			coord.SetPlanner(sched.Planner{Static: true})
-		case *chunks > 1:
-			coord.SetPlanner(sched.Planner{ChunksPerWorker: *chunks})
-		}
 		coord.SetLogger(olog.New(os.Stderr, level, "cluster"))
 		coord.SetObs(svc.Registry(), svc.Tracer())
 		svc.SetDistributor(coord.SummarizeSpecs)
 		svc.SetSchedulerStats(coord.Stats)
 		svc.SetFleet(func(ctx context.Context) any { return coord.Fleet(ctx) })
 		logger.Info("coordinating summary-only sweeps", "workers", coord.Workers())
-	} else if *chunks != 0 {
-		return fmt.Errorf("-chunks requires -workers")
 	}
 
 	if *journalDir != "" {

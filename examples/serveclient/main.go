@@ -185,7 +185,14 @@ func run() error {
 		fmt.Printf("run %d: key %s... cached=%v rounds=%d\n", i+1, rr.Key[:12], rr.Cached, rr.Result.Rounds)
 	}
 
-	var m nochatter.ServiceMetrics
+	// GET /metrics serves the service's metrics registry as one JSON object;
+	// decode just the keys this example prints.
+	var m struct {
+		RunRequests     int64   `json:"run_requests"`
+		CacheHitRate    float64 `json:"cache_hit_rate"`
+		RoundsSimulated int64   `json:"rounds_simulated"`
+		RoundsPerSecond float64 `json:"rounds_per_second"`
+	}
 	resp, err = http.Get(base + "/metrics")
 	if err != nil {
 		return err

@@ -394,28 +394,6 @@ func TestClusterStragglerSteals(t *testing.T) {
 	}
 }
 
-// TestClusterStaticPlannerMatchesLocal pins the escape hatch: the
-// degenerate one-chunk-per-worker plan (gatherd -chunks 1) still merges to
-// the local fold.
-func TestClusterStaticPlannerMatchesLocal(t *testing.T) {
-	specs := testSweep(t)[:12]
-	want := localCanonical(t, specs)
-	ws := []*Worker{fastWorker(newBackend(t)), fastWorker(newBackend(t))}
-	coord := NewCoordinator(ws...)
-	coord.SetPlanner(sched.Planner{Static: true})
-	sum, err := coord.SummarizeSpecs(context.Background(), specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := mustCanonical(t, sum); got != want {
-		t.Error("static-plan run differs from the single-process summary")
-	}
-	stats := coord.Stats()
-	if stats.Chunks != 2 {
-		t.Errorf("static plan over 2 workers dispatched %d chunks, want 2", stats.Chunks)
-	}
-}
-
 // mustCanonical encodes a summary canonically or fails the test.
 func mustCanonical(t *testing.T, s *agg.Summary) string {
 	t.Helper()

@@ -54,7 +54,6 @@ type ChunkStore interface {
 // worker that could still take it.
 type Coordinator struct {
 	workers []*Worker
-	planner sched.Planner
 	log     *slog.Logger
 
 	// Observability (reporting-only; nil handles no-op). chunkMS is the
@@ -166,12 +165,6 @@ func (c *Coordinator) crashpoint(d *sched.Dispatcher, phase obs.Phase, chunk int
 // Workers returns the fleet size.
 func (c *Coordinator) Workers() int { return len(c.workers) }
 
-// SetPlanner replaces the chunk planner for subsequent sweeps. The zero
-// Planner restores the default; Planner{Static: true} restores the
-// pre-scheduler one-shard-per-worker behavior. Not safe to call
-// concurrently with a running sweep.
-func (c *Coordinator) SetPlanner(p sched.Planner) { c.planner = p }
-
 // Stats returns the scheduler counters accumulated across every sweep the
 // coordinator has dispatched — chunks dispatched, stolen, retried, failed
 // and completed per worker — with any in-flight sweep's counters folded in
@@ -214,7 +207,7 @@ func (c *Coordinator) SummarizeSpecs(ctx context.Context, specs []spec.ScenarioS
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("cluster: sweep has no specs")
 	}
-	plan := c.planner.PlanSpecs(specs, len(c.workers))
+	plan := sched.Planner{}.PlanSpecs(specs, len(c.workers))
 	d := sched.NewDispatcher(plan, len(c.workers))
 	sums := make([]*agg.Summary, len(plan))
 

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"math/rand/v2"
 	"net/http"
 	"strings"
@@ -82,8 +83,9 @@ func WithHTTPClient(hc *http.Client) WorkerOption {
 
 // WithRetries sets how many times a failed request is retried (default 2)
 // and the first retry's backoff delay, doubled per attempt (default 100ms).
+// Negative values count as 0: every request is attempted at least once.
 func WithRetries(retries int, backoff time.Duration) WorkerOption {
-	return func(w *Worker) { w.retries, w.backoff = retries, backoff }
+	return func(w *Worker) { w.retries, w.backoff = max(retries, 0), max(backoff, 0) }
 }
 
 // NewWorker returns a client for the gatherd at baseURL (scheme://host:port,
@@ -279,14 +281,8 @@ func (w *Worker) do(ctx context.Context, method, path string, body []byte, want 
 	var lastErr error
 	for attempt := 0; attempt <= w.retries; attempt++ {
 		if attempt > 0 {
-			delay := w.backoff << (attempt - 1)
-			// Full jitter on top of the exponential base: up to +100%,
-			// decorrelating workers whose retries a shared failure aligned.
-			w.jmu.Lock()
-			delay += time.Duration(w.jitter.Int64N(int64(delay) + 1))
-			w.jmu.Unlock()
 			select {
-			case <-time.After(delay):
+			case <-time.After(w.retryDelay(attempt)):
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
@@ -310,6 +306,24 @@ func (w *Worker) do(ctx context.Context, method, path string, body []byte, want 
 			w.base, method, path, status, errorBody(data))
 	}
 	return nil, lastErr
+}
+
+// maxRetryDelay caps the exponential base delay, so neither the doubling
+// nor the jitter added on top can overflow a Duration.
+const maxRetryDelay = time.Duration(math.MaxInt64 / 2)
+
+// retryDelay is the wait before retry number attempt (≥ 1): the backoff
+// doubled per earlier retry, never above maxRetryDelay, plus full jitter
+// of up to +100% that decorrelates workers whose retries a shared failure
+// aligned.
+func (w *Worker) retryDelay(attempt int) time.Duration {
+	delay := min(w.backoff, maxRetryDelay)
+	for i := 1; i < attempt && delay > 0 && delay <= maxRetryDelay/2; i++ {
+		delay <<= 1
+	}
+	w.jmu.Lock()
+	defer w.jmu.Unlock()
+	return delay + time.Duration(w.jitter.Int64N(int64(delay)+1))
 }
 
 // attempt performs one HTTP round trip under the optional per-attempt

@@ -13,11 +13,6 @@ type Planner struct {
 	// MaxChunkSpecs, when positive, caps the specs in one chunk — a floor
 	// on granularity for sweeps of very cheap specs.
 	MaxChunkSpecs int
-	// Static selects the degenerate plan: one count-balanced chunk per
-	// worker (StaticPlan), ignoring the cost model — the pre-chunking
-	// cluster behavior, kept for comparison and as a -chunks 1 escape
-	// hatch.
-	Static bool
 	// Model predicts per-spec cost (nil selects DefaultCost).
 	Model CostModel
 }
@@ -27,9 +22,6 @@ type Planner struct {
 // bit-identical plan, on any process — the property the property/fuzz
 // tests pin down.
 func (p Planner) PlanSpecs(specs []spec.ScenarioSpec, workers int) []Chunk {
-	if p.Static {
-		return StaticPlan(len(specs), workers)
-	}
 	model := p.Model
 	if model == nil {
 		model = DefaultCost

@@ -197,36 +197,6 @@ func TestStaticBounds(t *testing.T) {
 	}
 }
 
-func TestStaticPlan(t *testing.T) {
-	for n := 0; n <= 25; n++ {
-		for workers := 1; workers <= 6; workers++ {
-			chunks := StaticPlan(n, workers)
-			costs := make([]int64, n)
-			for i := range costs {
-				costs[i] = 1
-			}
-			checkTiling(t, chunks, costs)
-			want := workers
-			if n < workers {
-				want = n
-			}
-			if n > 0 && len(chunks) != want {
-				t.Fatalf("n=%d workers=%d: %d chunks, want %d", n, workers, len(chunks), want)
-			}
-		}
-	}
-}
-
-// TestPlanSpecsStaticMatchesStaticPlan pins the -chunks 1 escape hatch.
-func TestPlanSpecsStaticMatchesStaticPlan(t *testing.T) {
-	specs := testSpecs(13)
-	got := Planner{Static: true}.PlanSpecs(specs, 3)
-	want := StaticPlan(13, 3)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("static PlanSpecs = %v, want %v", got, want)
-	}
-}
-
 // TestPlanSpecsCostOrdering checks the model feeds through: a sweep mixing
 // cheap rings with expensive barbells must give the barbell region more,
 // smaller chunks than an equal-count split would.

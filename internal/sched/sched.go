@@ -57,22 +57,3 @@ func (c Chunk) Specs() int { return c.Hi - c.Lo }
 func StaticBounds(n, shards, i int) (lo, hi int) {
 	return i * n / shards, (i + 1) * n / shards
 }
-
-// StaticPlan is the degenerate plan: one count-balanced chunk per worker,
-// boundaries from StaticBounds, costs the spec counts. Empty shards
-// (n < workers) are skipped, so every returned chunk is non-empty and
-// Index still numbers the chunks contiguously.
-func StaticPlan(n, workers int) []Chunk {
-	if n <= 0 || workers < 1 {
-		return nil
-	}
-	chunks := make([]Chunk, 0, workers)
-	for i := 0; i < workers; i++ {
-		lo, hi := StaticBounds(n, workers, i)
-		if lo == hi {
-			continue
-		}
-		chunks = append(chunks, Chunk{Index: len(chunks), Lo: lo, Hi: hi, Cost: int64(hi - lo)})
-	}
-	return chunks
-}

@@ -120,9 +120,10 @@ func TestSingleflightCollapsesConcurrentSubmissions(t *testing.T) {
 	if uncachedCount != 1 {
 		t.Errorf("%d callers reported an uncached (fresh) run, want exactly the leader", uncachedCount)
 	}
-	m := svc.Snapshot()
-	if m.CacheMisses != 1 || m.CacheHits+m.Coalesced != callers-1 {
-		t.Errorf("metrics: misses=%d hits=%d coalesced=%d, want 1 miss and %d shared", m.CacheMisses, m.CacheHits, m.Coalesced, callers-1)
+	m := svc.Registry().Snapshot()
+	misses, hits, coalesced := m["cache_misses"].(int64), m["cache_hits"].(int64), m["coalesced"].(int64)
+	if misses != 1 || hits+coalesced != callers-1 {
+		t.Errorf("metrics: misses=%d hits=%d coalesced=%d, want 1 miss and %d shared", misses, hits, coalesced, callers-1)
 	}
 
 	// A later submission of the same spec is a plain cache hit.

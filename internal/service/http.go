@@ -295,9 +295,8 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics serves the registry snapshot — every counter, gauge and
-// histogram under its stable key, replacing the hand-assembled Metrics
-// struct this endpoint used to marshal (the struct remains the in-process
-// Snapshot API; the keys coincide).
+// histogram under its stable key. In-process callers read the same
+// document through Registry().Snapshot().
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.reg)
 }

@@ -339,9 +339,26 @@ func TestHTTPMetricsAndHealth(t *testing.T) {
 		t.Fatalf("healthz: %d %v", resp.StatusCode, health)
 	}
 	body, _ := json.Marshal(differentialSpecs()[0])
+	resp, first := postJSON(t, srv.URL+"/v1/run", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("run: %d %s", resp.StatusCode, first)
+	}
+	var run RunResponse
+	if err := json.Unmarshal(first, &run); err != nil || run.Result == nil {
+		t.Fatalf("run response %s: %v", first, err)
+	}
 	postJSON(t, srv.URL+"/v1/run", body)
-	postJSON(t, srv.URL+"/v1/run", body)
-	var m Metrics
+	var m struct {
+		Requests        int64   `json:"requests"`
+		RunRequests     int64   `json:"run_requests"`
+		CacheHits       int64   `json:"cache_hits"`
+		CacheMisses     int64   `json:"cache_misses"`
+		CacheHitRate    float64 `json:"cache_hit_rate"`
+		CacheEntries    int     `json:"cache_entries"`
+		SpecsExecuted   int64   `json:"specs_executed"`
+		RoundsSimulated int64   `json:"rounds_simulated"`
+		SteppedRounds   int64   `json:"stepped_rounds"`
+	}
 	if resp := getJSON(t, srv.URL+"/metrics", &m); resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics: %d", resp.StatusCode)
 	}
@@ -351,7 +368,13 @@ func TestHTTPMetricsAndHealth(t *testing.T) {
 	if m.CacheHitRate != 0.5 || m.CacheEntries != 1 || m.SpecsExecuted != 1 {
 		t.Errorf("derived metrics: %+v", m)
 	}
-	if m.RoundsSimulated <= 0 || m.Requests < 4 {
+	// One spec executed once (the second request was a cache hit): the
+	// rounds counters hold exactly that run's rounds.
+	if m.RoundsSimulated != int64(run.Result.Rounds) || m.SteppedRounds != int64(run.Result.SteppedRounds) {
+		t.Errorf("rounds_simulated=%d stepped_rounds=%d, want the executed run's %d/%d",
+			m.RoundsSimulated, m.SteppedRounds, run.Result.Rounds, run.Result.SteppedRounds)
+	}
+	if m.Requests < 4 {
 		t.Errorf("counters not moving: %+v", m)
 	}
 }

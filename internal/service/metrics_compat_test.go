@@ -12,9 +12,9 @@ import (
 )
 
 // TestMetricsEndpointKeysStable pins the /metrics vocabulary across the
-// registry rewrite: every key the hand-assembled Metrics struct used to
+// registry rewrite: every key the hand-assembled metrics struct used to
 // serve must still appear in the registry-snapshot document, with the
-// counters carrying the same values the typed Snapshot reports.
+// counters carrying the same values Registry().Snapshot() reports.
 func TestMetricsEndpointKeysStable(t *testing.T) {
 	svc, srv := newTestServer(t, Config{})
 
@@ -48,13 +48,14 @@ func TestMetricsEndpointKeysStable(t *testing.T) {
 	if _, ok := doc["scheduler"]; ok {
 		t.Errorf("/metrics grew a scheduler section on a non-coordinator")
 	}
-	// The document and the typed snapshot read the same counters.
-	m := svc.Snapshot()
-	if got := doc["cache_hits"].(float64); int64(got) != m.CacheHits || m.CacheHits != 1 {
-		t.Errorf("cache_hits: doc %v, snapshot %d, want 1", got, m.CacheHits)
+	// The document and the in-process registry snapshot read the same
+	// counters.
+	m := svc.Registry().Snapshot()
+	if got, want := doc["cache_hits"].(float64), m["cache_hits"].(int64); int64(got) != want || want != 1 {
+		t.Errorf("cache_hits: doc %v, snapshot %d, want 1", got, want)
 	}
-	if got := doc["specs_executed"].(float64); int64(got) != m.SpecsExecuted {
-		t.Errorf("specs_executed: doc %v, snapshot %d", got, m.SpecsExecuted)
+	if got, want := doc["specs_executed"].(float64), m["specs_executed"].(int64); int64(got) != want {
+		t.Errorf("specs_executed: doc %v, snapshot %d", got, want)
 	}
 	// New registry metrics ride along without displacing anything.
 	for _, key := range []string{"job_wall_ms", "spec_run_us"} {

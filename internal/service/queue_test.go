@@ -86,22 +86,23 @@ func TestQueueDepthExcludesCanceled(t *testing.T) {
 	if _, err := svc.SubmitSpecs(mkSpecs(0)); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "first job running", func() bool { return svc.Snapshot().JobsRunning == 1 })
+	gauge := func(name string) float64 { return svc.Registry().Snapshot()[name].(float64) }
+	waitFor(t, "first job running", func() bool { return gauge("jobs_running") == 1 })
 
 	queued, err := svc.SubmitSpecs(mkSpecs(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := svc.Snapshot(); m.JobsQueued != 1 {
-		t.Fatalf("jobs_queued = %d with one queued job, want 1", m.JobsQueued)
+	if q := gauge("jobs_queued"); q != 1 {
+		t.Fatalf("jobs_queued = %v with one queued job, want 1", q)
 	}
 	if _, ok := svc.CancelJob(queued.ID); !ok {
 		t.Fatal("cancel: job not found")
 	}
 	// The canceled job still occupies a pending-channel slot (the single
 	// worker is blocked), but the metric must drop immediately.
-	if m := svc.Snapshot(); m.JobsQueued != 0 {
-		t.Fatalf("jobs_queued = %d after canceling the queued job, want 0", m.JobsQueued)
+	if q := gauge("jobs_queued"); q != 0 {
+		t.Fatalf("jobs_queued = %v after canceling the queued job, want 0", q)
 	}
 	if st, _ := svc.Job(queued.ID); st.State != JobFailed || st.Error != "canceled" {
 		t.Fatalf("canceled-while-queued job state = %+v, want failed/canceled", st)

@@ -174,6 +174,8 @@ func (s *Service) initObs() {
 	})
 	s.reg.GaugeFunc("cache_hit_rate", s.cacheHitRate)
 	s.reg.GaugeFunc("uptime_seconds", func() float64 { return time.Since(s.start).Seconds() })
+	// Logical rounds simulated over process uptime: the event-driven
+	// engine's fast-forward makes it far exceed stepped rounds per second.
 	s.reg.GaugeFunc("rounds_per_second", func() float64 {
 		if up := time.Since(s.start).Seconds(); up > 0 {
 			return float64(s.roundsSim.Value()) / up
@@ -199,9 +201,11 @@ func (s *Service) cacheHitRate() float64 {
 	return 0
 }
 
-// Registry returns the service's metrics registry, for wiring additional
-// subsystem metrics (the cluster coordinator's chunk histogram, a
-// sim.Runner's counters) into the same /metrics document.
+// Registry returns the service's metrics registry: the document GET
+// /metrics serves, and the one place in-process callers read service
+// metrics from (Registry().Snapshot()). Subsystems wire their own metrics
+// (the cluster coordinator's chunk histogram, the journal's counters) into
+// it.
 func (s *Service) Registry() *obs.Registry { return s.reg }
 
 // Tracer returns the service's lifecycle tracer, for wiring chunk-level
@@ -710,64 +714,4 @@ func (s *Service) runJobDistributed(jb *job) {
 		jb.finish(JobDone, "")
 	}
 	<-watcherDone // finish broadcast released it; don't leak past Close
-}
-
-// Metrics is the wire form of GET /metrics.
-type Metrics struct {
-	Requests        int64   `json:"requests"`
-	RunRequests     int64   `json:"run_requests"`
-	CacheHits       int64   `json:"cache_hits"`
-	CacheMisses     int64   `json:"cache_misses"`
-	Coalesced       int64   `json:"coalesced"`
-	CacheHitRate    float64 `json:"cache_hit_rate"`
-	CacheEntries    int     `json:"cache_entries"`
-	SweepJobs       int64   `json:"sweep_jobs"`
-	JobsQueued      int     `json:"jobs_queued"`
-	JobsRunning     int     `json:"jobs_running"`
-	SpecsExecuted   int64   `json:"specs_executed"`
-	RoundsSimulated int64   `json:"rounds_simulated"`
-	SteppedRounds   int64   `json:"stepped_rounds"`
-	SummaryHits     int64   `json:"summary_cache_hits"`
-	SummaryMisses   int64   `json:"summary_cache_misses"`
-	UptimeSeconds   float64 `json:"uptime_seconds"`
-	RoundsPerSecond float64 `json:"rounds_per_second"`
-	// Scheduler carries the coordinator's chunk-dispatch counters when this
-	// node distributes sweeps over a fleet (SetSchedulerStats); absent on
-	// plain workers.
-	Scheduler *sched.FleetStats `json:"scheduler,omitempty"`
-}
-
-// Snapshot returns current service metrics as the typed Metrics struct —
-// the in-process API tests and harnesses read. (GET /metrics serves the
-// registry snapshot instead; both views read the same counters, and the
-// wire keys coincide by construction.) Hit rate counts coalesced
-// executions as hits — the work was not repeated. Rounds/sec is logical
-// rounds simulated over process uptime: the event-driven engine's
-// fast-forward makes it far exceed stepped rounds per second.
-func (s *Service) Snapshot() Metrics {
-	m := Metrics{
-		Requests:        s.requests.Value(),
-		RunRequests:     s.runRequests.Value(),
-		CacheHits:       s.cacheHits.Value(),
-		CacheMisses:     s.cacheMisses.Value(),
-		Coalesced:       s.coalesced.Value(),
-		CacheEntries:    s.cache.len(),
-		SweepJobs:       s.sweepJobs.Value(),
-		SpecsExecuted:   s.specsExecuted.Value(),
-		RoundsSimulated: s.roundsSim.Value(),
-		SteppedRounds:   s.roundsStepped.Value(),
-		SummaryHits:     s.summaryHits.Value(),
-		SummaryMisses:   s.summaryMisses.Value(),
-		UptimeSeconds:   time.Since(s.start).Seconds(),
-		CacheHitRate:    s.cacheHitRate(),
-	}
-	m.JobsQueued, m.JobsRunning = s.queue.depth()
-	if s.schedStats != nil {
-		fs := s.schedStats()
-		m.Scheduler = &fs
-	}
-	if m.UptimeSeconds > 0 {
-		m.RoundsPerSecond = float64(m.RoundsSimulated) / m.UptimeSeconds
-	}
-	return m
 }

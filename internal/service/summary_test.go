@@ -113,9 +113,9 @@ func TestJobSummaryEndpoint(t *testing.T) {
 			third.Cached, third.Key == first.Key)
 	}
 
-	m := svc.Snapshot()
-	if m.SummaryMisses != 1 || m.SummaryHits != 2 {
-		t.Fatalf("summary metrics: misses=%d hits=%d, want 1/2", m.SummaryMisses, m.SummaryHits)
+	m := svc.Registry().Snapshot()
+	if misses, hits := m["summary_cache_misses"], m["summary_cache_hits"]; misses != int64(1) || hits != int64(2) {
+		t.Fatalf("summary metrics: misses=%v hits=%v, want 1/2", misses, hits)
 	}
 }
 

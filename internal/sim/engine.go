@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"iter"
 	"sort"
-	"sync/atomic"
 
 	"nochatter/internal/graph"
 )
@@ -117,20 +116,6 @@ var (
 	ErrNoWake         = errors.New("sim: some agent must wake at round 0")
 	ErrMaxRounds      = errors.New("sim: exceeded max rounds without all agents halting")
 )
-
-// Cumulative counters across all runs of the process, for throughput
-// reporting (cmd/benchharness -json).
-var (
-	totalSimulated atomic.Int64
-	totalStepped   atomic.Int64
-)
-
-// SimulatedRounds returns the process-wide totals of logical rounds simulated
-// and engine rounds actually stepped, accumulated over every completed Run.
-// The ratio is the measured win of the event-driven clock.
-func SimulatedRounds() (logical, stepped int64) {
-	return totalSimulated.Load(), totalStepped.Load()
-}
 
 // agentState is the engine-side state of one agent.
 type agentState struct {
@@ -441,8 +426,6 @@ func Run(sc Scenario) (*RunResult, error) {
 		r = nextEventRound(states, r, cardAt, maxRounds)
 	}
 
-	totalSimulated.Add(int64(lastHalt))
-	totalStepped.Add(int64(steppedRounds))
 	res := &RunResult{Rounds: lastHalt, Agents: make([]AgentResult, n), SteppedRounds: steppedRounds, Moves: totalMoves}
 	for i, st := range states {
 		res.Agents[i] = AgentResult{

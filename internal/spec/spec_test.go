@@ -216,7 +216,7 @@ func TestBaselineSpecMatchesCentralizedRun(t *testing.T) {
 	}
 }
 
-// TestCompiledScenarioIsReRunnable guards the contract benchharness and
+// TestCompiledScenarioIsReRunnable guards the contract benchmark loops and
 // batch replays rely on: one compiled scenario can be run repeatedly with
 // identical results (programs are stateless closures).
 func TestCompiledScenarioIsReRunnable(t *testing.T) {

@@ -298,8 +298,6 @@ type (
 	JobResult = service.JobResult
 	// JobState is a job's lifecycle position (queued/running/done/failed).
 	JobState = service.JobState
-	// ServiceMetrics is the wire form of GET /metrics.
-	ServiceMetrics = service.Metrics
 )
 
 // Cluster-scheduled sweeps, re-exported from internal/cluster: a
